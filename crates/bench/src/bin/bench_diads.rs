@@ -7,17 +7,16 @@
 //! * **KDE scoring throughput** — re-fitting per score (the pre-cache workflow
 //!   behaviour) vs. fitting once and batch-scoring with `score_many`.
 //! * **Module DA latency** — the component×metric scoring loop with per-call refits
-//!   vs. the shared `DiagnosisCache`, and (with the `parallel` feature on a
-//!   multi-core host) the scoped-thread-pool path.
+//!   vs. the shared `DiagnosisCache`.
 //! * **End-to-end diagnosis** — full scenario-1 batch diagnosis wall time, refit
 //!   baseline vs. the cached engine.
 //! * **Store recording** — direct `record_key` vs. the lock-per-shard writer,
 //!   single-threaded (lock overhead) and threaded (scaling on multi-core hosts).
 //! * **Scenario matrix** — the batch engine's hot path: simulate + diagnose a
-//!   matrix of injected-fault scenarios, sequential loop vs. concurrent engine,
-//!   plus warm re-diagnosis through the testbed-level cache; and the post-PD
-//!   re-drill hot path on `compound_config_contention` (the flagship plan-change
-//!   compound scenario) through the cold, warm and incremental diagnosis paths.
+//!   matrix of injected-fault scenarios, plus warm re-diagnosis through the
+//!   testbed-level cache; and the post-PD re-drill hot path on
+//!   `compound_config_contention` (the flagship plan-change compound scenario)
+//!   through the cold, warm and incremental diagnosis paths.
 //! * **Incremental re-diagnosis** — the steady-state interactive loop: after a
 //!   one-epoch metric append, a full cold re-diagnosis (what an invalidated
 //!   engine slot costs) vs. `diagnose_incremental` over a sealed watermark; and
@@ -34,7 +33,7 @@
 use diads_bench::hotpath;
 use diads_bench::microbench::{Criterion, Record};
 use diads_core::workflow::DiagnosisCache;
-use diads_core::{DiagnosisContext, DiagnosisEngine, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisContext, DiagnosisEngine, DiagnosisPipeline, Testbed};
 use diads_gen::{check_plan, shrink_candidates, Generator, TimelineKind};
 use diads_inject::scenarios::{
     compound_config_and_contention_scenario, compound_lock_and_interloper_scenario, scenario_1, scenario_3,
@@ -59,8 +58,7 @@ fn main() {
     let mut c = Criterion::new();
 
     // ----- KDE scoring: per-call refit vs. cache + score_many -----
-    // The workload is shared with the kde_scoring bench (diads_bench::hotpath) so the
-    // tracked JSON stays representative of what the bench suite measures.
+    // The workload and both paths live in diads_bench::hotpath, pinned equal there.
     let sample = hotpath::kde_sample();
     let observations = hotpath::kde_observations();
     {
@@ -76,7 +74,6 @@ fn main() {
                 black_box(hotpath::cached_score_many(&mut cache, &mut out, &sample, black_box(&observations)))
             })
         });
-        group.finish();
     }
 
     // ----- Module DA and end-to-end diagnosis over scenario 1 -----
@@ -93,7 +90,8 @@ fn main() {
         topology: outcome.testbed.san.topology(),
         workloads: outcome.testbed.san.workloads(),
     };
-    let workflow = DiagnosisWorkflow::new();
+    let pipeline = DiagnosisPipeline::standard();
+    let workflow = pipeline.workflow();
     let cos = workflow.correlated_operators(&ctx, &mut DiagnosisCache::new());
 
     {
@@ -102,18 +100,13 @@ fn main() {
         group.bench_function("refit_baseline", |b| {
             b.iter(|| {
                 let mut cache = DiagnosisCache::disabled();
-                black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache))
+                black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache))
             })
         });
         group.bench_function("cached", |b| {
             let mut cache = DiagnosisCache::new();
-            b.iter(|| black_box(workflow.dependency_analysis_sequential(&ctx, &cos, &mut cache)))
+            b.iter(|| black_box(workflow.dependency_analysis(&ctx, &cos, &mut cache)))
         });
-        #[cfg(feature = "parallel")]
-        group.bench_function("parallel", |b| {
-            b.iter(|| black_box(workflow.dependency_analysis_parallel(&ctx, &cos, 0)))
-        });
-        group.finish();
     }
 
     {
@@ -122,17 +115,16 @@ fn main() {
         group.bench_function("scenario1_refit_baseline", |b| {
             b.iter(|| {
                 let mut cache = DiagnosisCache::disabled();
-                black_box(workflow.run_with_cache(black_box(&ctx), &mut cache))
+                black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache))
             })
         });
-        group.bench_function("scenario1_diagnosis", |b| b.iter(|| black_box(workflow.run(black_box(&ctx)))));
+        group.bench_function("scenario1_diagnosis", |b| b.iter(|| black_box(pipeline.run(black_box(&ctx)))));
         group.bench_function("scenario1_diagnosis_warm", |b| {
             // The interactive / what-if pattern: repeated diagnoses of one context
             // share a cache, so every KDE fit after the first diagnosis is skipped.
             let mut cache = DiagnosisCache::new();
-            b.iter(|| black_box(workflow.run_with_cache(black_box(&ctx), &mut cache)))
+            b.iter(|| black_box(pipeline.run_with_cache(black_box(&ctx), &mut cache)))
         });
-        group.finish();
     }
 
     // ----- Store recording: direct vs. the lock-per-shard writer -----
@@ -242,10 +234,9 @@ fn main() {
                 black_box(store.point_count())
             })
         });
-        group.finish();
     }
 
-    // ----- Scenario matrix: the concurrent batch engine's hot path -----
+    // ----- Scenario matrix: the batch engine's hot path -----
     // A mixed matrix (SAN contention, data-property change, lock contention, and a
     // compound DB+SAN fault with staggered onsets) on the short timeline: one
     // iteration simulates every scenario end to end and diagnoses each outcome.
@@ -263,13 +254,6 @@ fn main() {
         group.bench_function("sequential", |b| {
             b.iter(|| {
                 let outcomes = Testbed::run_scenarios(black_box(&matrix));
-                black_box(outcomes.iter().map(|o| o.diagnose()).collect::<Vec<_>>())
-            })
-        });
-        #[cfg(feature = "parallel")]
-        group.bench_function("concurrent", |b| {
-            b.iter(|| {
-                let outcomes = Testbed::run_scenarios_concurrent(black_box(&matrix));
                 black_box(outcomes.iter().map(|o| o.diagnose()).collect::<Vec<_>>())
             })
         });
@@ -312,7 +296,6 @@ fn main() {
                 black_box(compound.diagnose_incremental(black_box(&wm)))
             })
         });
-        group.finish();
     }
 
     // ----- Incremental re-diagnosis: the steady-state interactive loop -----
@@ -342,7 +325,6 @@ fn main() {
                 black_box(outcome.diagnose_incremental(black_box(&wm)))
             })
         });
-        group.finish();
     }
 
     // ----- Engine snapshot: cold start vs. restored-snapshot start -----
@@ -369,7 +351,6 @@ fn main() {
                 )
             })
         });
-        group.finish();
     }
 
     // ----- Generative scenario engine: sampling, oracle cycle, shrinking -----
@@ -390,7 +371,6 @@ fn main() {
         group.bench_function("shrink_candidates", |b| {
             b.iter(|| black_box(shrink_candidates(black_box(&gen_plan))))
         });
-        group.finish();
     }
 
     // ----- Assemble BENCH_diads.json -----
@@ -403,15 +383,12 @@ fn main() {
     let e2e = median_of(r, "end_to_end", "scenario1_diagnosis");
     let e2e_warm = median_of(r, "end_to_end", "scenario1_diagnosis_warm");
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel_enabled = cfg!(feature = "parallel");
-    let da_parallel = if parallel_enabled { median_of(r, "da", "parallel") } else { f64::NAN };
     let rec_direct = median_of(r, "store", "record_direct");
     let rec_sharded = median_of(r, "store", "record_sharded_1thread");
     let rec_batched = median_of(r, "store", "record_batched_1thread");
     let rec_threads = median_of(r, "store", "record_sharded_threads");
     let rec_batched_threads = median_of(r, "store", "record_batched_threads");
     let matrix_seq = median_of(r, "scenario_matrix", "sequential");
-    let matrix_conc = if parallel_enabled { median_of(r, "scenario_matrix", "concurrent") } else { f64::NAN };
     let matrix_warm = median_of(r, "scenario_matrix", "rediagnose_warm");
     let cc_cold = median_of(r, "scenario_matrix", "compound_config_contention_cold");
     let cc_warm = median_of(r, "scenario_matrix", "compound_config_contention_warm");
@@ -427,7 +404,7 @@ fn main() {
 
     let mut json = String::from("{\n  \"schema\": \"diads-bench-v1\",\n");
     json.push_str(&format!(
-        "  \"environment\": {{\"threads\": {threads}, \"parallel_feature\": {parallel_enabled}, \"profile\": \"{}\"}},\n",
+        "  \"environment\": {{\"threads\": {threads}, \"profile\": \"{}\"}},\n",
         if cfg!(debug_assertions) { "debug" } else { "release" }
     ));
     json.push_str(&format!(
@@ -436,9 +413,8 @@ fn main() {
         kde_refit / kde_cached
     ));
     json.push_str(&format!(
-        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}, \"parallel_ns\": {}}},\n",
-        da_refit / da_cached,
-        if da_parallel.is_nan() { "null".to_string() } else { format!("{da_parallel:.1}") }
+        "  \"dependency_analysis\": {{\"refit_baseline_ns\": {da_refit:.1}, \"cached_ns\": {da_cached:.1}, \"cached_speedup\": {:.2}}},\n",
+        da_refit / da_cached
     ));
     json.push_str(&format!(
         "  \"end_to_end\": {{\"scenario\": \"scenario-1 (short timeline)\", \"refit_baseline_ms\": {:.3}, \"cold_cache_ms\": {:.3}, \"warm_cache_ms\": {:.3}, \"warm_speedup\": {:.2}}},\n",
@@ -452,10 +428,9 @@ fn main() {
         rec_batched / rec_direct
     ));
     json.push_str(&format!(
-        "  \"scenario_matrix\": {{\"scenarios\": {}, \"timeline\": \"short\", \"sequential_ms\": {:.1}, \"concurrent_ms\": {}, \"rediagnose_warm_ms\": {:.3}, \"compound_config_contention\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}}}}},\n",
+        "  \"scenario_matrix\": {{\"scenarios\": {}, \"timeline\": \"short\", \"sequential_ms\": {:.1}, \"rediagnose_warm_ms\": {:.3}, \"compound_config_contention\": {{\"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"incremental_ms\": {:.3}}}}},\n",
         matrix.len(),
         matrix_seq / 1e6,
-        if matrix_conc.is_nan() { "null".to_string() } else { format!("{:.1}", matrix_conc / 1e6) },
         matrix_warm / 1e6,
         cc_cold / 1e6,
         cc_warm / 1e6,

@@ -212,9 +212,8 @@ fn diagnosis_json(run: &mut FleetRun, threads: usize) -> String {
 fn splice_fleet_group(out_path: &str, fleet_line: &str) {
     let existing = std::fs::read_to_string(out_path).unwrap_or_else(|_| {
         format!(
-            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"parallel_feature\": {}, \"profile\": \"{}\"}},\n}}\n",
+            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"profile\": \"{}\"}},\n}}\n",
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            cfg!(feature = "parallel"),
             if cfg!(debug_assertions) { "debug" } else { "release" }
         )
     });

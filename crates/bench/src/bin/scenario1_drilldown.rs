@@ -6,7 +6,7 @@
 //! Run with `cargo run --release -p diads-bench --bin scenario1_drilldown`.
 
 use diads_bench::harness::heading;
-use diads_core::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, Testbed};
+use diads_core::{DiagnosisCache, DiagnosisContext, DiagnosisState, DiagnosisWorkflow, Testbed};
 use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
 use diads_monitor::ComponentKind;
 
@@ -89,6 +89,15 @@ fn main() {
     }
     println!("\nPaper reference: impact score 99.8% for the high-confidence root cause.");
 
-    let report = workflow.assemble_report(&ctx, &pd, &cos, &da, &cr, &sd, &ia);
+    let state = DiagnosisState {
+        pd: Some(pd),
+        cos: Some(cos),
+        da: Some(da),
+        cr: Some(cr),
+        sd: Some(sd),
+        ia: Some(ia),
+        ..DiagnosisState::default()
+    };
+    let report = state.assemble(&ctx, Default::default());
     println!("\n{}", report.render());
 }

@@ -77,9 +77,8 @@ fn pass_json(run: &ServiceRun, before: &ServiceStats, threads: usize) -> String 
 fn splice_service_group(out_path: &str, service_line: &str) {
     let existing = std::fs::read_to_string(out_path).unwrap_or_else(|_| {
         format!(
-            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"parallel_feature\": {}, \"profile\": \"{}\"}},\n}}\n",
+            "{{\n  \"schema\": \"diads-bench-v1\",\n  \"environment\": {{\"threads\": {}, \"profile\": \"{}\"}},\n}}\n",
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            cfg!(feature = "parallel"),
             if cfg!(debug_assertions) { "debug" } else { "release" }
         )
     });

@@ -5,7 +5,7 @@
 //! simulated controller exposes the same counters at both the volume (front-end) and
 //! pool (back-end) level, and the table prints both so the contention on V1's spindles
 //! (pool P1, caused by the interloper volume V') is visible exactly where it physically
-//! happens. See EXPERIMENTS.md for the paper-vs-measured comparison.
+//! happens.
 //!
 //! Run with `cargo run --release -p diads-bench --bin table2_anomaly_scores`.
 

@@ -1,9 +1,9 @@
 //! Shared helpers for the experiment binaries.
 
-use diads_core::{DiagnosisContext, DiagnosisReport, DiagnosisWorkflow, ScenarioOutcome, Testbed};
+use diads_core::{DiagnosisContext, DiagnosisPipeline, DiagnosisReport, ScenarioOutcome, Testbed};
 use diads_inject::Scenario;
 
-/// Runs a scenario end to end and diagnoses it with the default workflow.
+/// Runs a scenario end to end and diagnoses it with the standard pipeline.
 pub fn run_and_diagnose(scenario: &Scenario) -> (ScenarioOutcome, DiagnosisReport) {
     let outcome = Testbed::run_scenario(scenario);
     let report = diagnose(&outcome);
@@ -24,7 +24,7 @@ pub fn diagnose(outcome: &ScenarioOutcome) -> DiagnosisReport {
         topology: outcome.testbed.san.topology(),
         workloads: outcome.testbed.san.workloads(),
     };
-    DiagnosisWorkflow::new().run(&ctx)
+    DiagnosisPipeline::standard().run(&ctx)
 }
 
 /// Prints a horizontal rule with a title.

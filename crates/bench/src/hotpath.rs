@@ -1,8 +1,8 @@
 //! The shared refit-vs-cache KDE workload.
 //!
-//! Both the `kde_scoring` criterion bench and the `bench_diads` tracker measure the
-//! same comparison; defining the workload once keeps the number committed to
-//! `BENCH_diads.json` representative of what the bench suite measures.
+//! The `bench_diads` tracker's `kde` group measures per-call refits against one
+//! cached fit batch-scored with `score_many`; the workload and both paths live here
+//! so a unit test can pin that they agree.
 
 use diads_stats::{Kde, ScoringCache};
 

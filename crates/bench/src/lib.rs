@@ -1,9 +1,8 @@
 //! # diads-bench
 //!
 //! The experiment harness of the DIADS reproduction. Every table and figure of the
-//! paper's evaluation has a binary under `src/bin/` that regenerates it (see
-//! `EXPERIMENTS.md` at the workspace root for the index), and the `benches/` directory
-//! holds Criterion micro/macro benchmarks of the main code paths.
+//! paper's evaluation has a binary under `src/bin/` that regenerates it, and
+//! `bench_diads` tracks the hot paths of the main code in `BENCH_diads.json`.
 
 pub mod harness;
 pub mod hotpath;

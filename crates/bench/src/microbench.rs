@@ -1,16 +1,12 @@
-//! A minimal, dependency-free micro-benchmark harness with a criterion-compatible
-//! API subset.
+//! A minimal, dependency-free micro-benchmark harness with a criterion-style API.
 //!
 //! The real `criterion` crate is not vendored in this build environment, so this
-//! module provides the part of its surface the benches use — [`Criterion`],
-//! `benchmark_group`, `sample_size`, `bench_function`, `bench_with_input`,
-//! [`BenchmarkId`], and the [`crate::criterion_group!`] / [`crate::criterion_main!`]
-//! macros — implemented over `std::time::Instant`. The measurement protocol follows
-//! the same discipline (warm-up, fixed sample count, adaptive iterations per sample,
-//! median-of-samples reporting) at a fraction of the rigor, which is adequate for the
+//! module provides the part of its surface `bench_diads` uses — [`Criterion`],
+//! `benchmark_group`, `sample_size` and `bench_function` — implemented over
+//! `std::time::Instant`. The measurement protocol follows the same discipline
+//! (warm-up, fixed sample count, adaptive iterations per sample, median-of-samples
+//! reporting) at a fraction of the rigor, which is adequate for the
 //! order-of-magnitude comparisons tracked in `BENCH_diads.json`.
-//!
-//! Set `DIADS_BENCH_JSON=<path>` to also append every measurement to a JSON file.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -29,15 +25,13 @@ pub struct Record {
     pub bench: String,
     /// Median time per iteration, in nanoseconds.
     pub median_ns: f64,
-    /// Mean time per iteration, in nanoseconds.
-    pub mean_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
     /// Iterations per sample.
     pub iters: u64,
 }
 
-/// Entry point object, compatible with criterion's.
+/// Entry point object, modelled on criterion's.
 #[derive(Debug, Default)]
 pub struct Criterion {
     records: Vec<Record>,
@@ -58,23 +52,9 @@ impl Criterion {
     pub fn records(&self) -> &[Record] {
         &self.records
     }
-
-    /// Prints the summary table and honours `DIADS_BENCH_JSON`.
-    pub fn finalize(&self) {
-        if let Ok(path) = std::env::var("DIADS_BENCH_JSON") {
-            if !path.is_empty() {
-                let json = records_to_json(&self.records);
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("warning: could not write {path}: {e}");
-                } else {
-                    println!("\nwrote {} measurements to {path}", self.records.len());
-                }
-            }
-        }
-    }
 }
 
-/// A group of related benchmarks (criterion-compatible subset).
+/// A group of related benchmarks.
 pub struct BenchmarkGroup<'c> {
     name: String,
     sample_size: usize,
@@ -89,12 +69,11 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Measures one closure.
-    pub fn bench_function<F>(&mut self, id: impl IntoBenchId, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into_bench_id();
-        let record = run_bench(&self.name, &id, self.sample_size, |b| f(b));
+        let record = run_bench(&self.name, id, self.sample_size, |b| f(b));
         println!(
             "{:<44} {:>14}/iter  ({} samples x {} iters)",
             format!("{}/{}", self.name, id),
@@ -105,17 +84,6 @@ impl BenchmarkGroup<'_> {
         self.criterion.records.push(record);
         self
     }
-
-    /// Measures one closure with an explicit input (criterion's `bench_with_input`).
-    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: impl IntoBenchId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id.into_bench_id(), |b| f(b, input))
-    }
-
-    /// Ends the group (kept for API compatibility; nothing to flush).
-    pub fn finish(&mut self) {}
 }
 
 /// Times the body passed to [`Bencher::iter`].
@@ -132,43 +100,6 @@ impl Bencher {
             black_box(f());
         }
         self.elapsed = start.elapsed();
-    }
-}
-
-/// Anything usable as a benchmark identifier (`&str` or [`BenchmarkId`]).
-pub trait IntoBenchId {
-    /// The rendered id.
-    fn into_bench_id(self) -> String;
-}
-
-impl IntoBenchId for &str {
-    fn into_bench_id(self) -> String {
-        self.to_string()
-    }
-}
-
-impl IntoBenchId for String {
-    fn into_bench_id(self) -> String {
-        self
-    }
-}
-
-/// A parameterised benchmark id, compatible with criterion's `BenchmarkId`.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter`.
-    pub fn new(name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId { id: format!("{name}/{parameter}") }
-    }
-}
-
-impl IntoBenchId for BenchmarkId {
-    fn into_bench_id(self) -> String {
-        self.id
     }
 }
 
@@ -190,8 +121,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(group: &str, id: &str, samples: usize, mut 
     }
     per_iter_ns.sort_by(f64::total_cmp);
     let median_ns = per_iter_ns[per_iter_ns.len() / 2];
-    let mean_ns = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
-    Record { group: group.to_string(), bench: id.to_string(), median_ns, mean_ns, samples, iters }
+    Record { group: group.to_string(), bench: id.to_string(), median_ns, samples, iters }
 }
 
 fn format_ns(ns: f64) -> String {
@@ -206,47 +136,6 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Renders measurements as a small JSON document (no serde in this build).
-pub fn records_to_json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"diads-microbench-v1\",\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"bench\": \"{}\", \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"samples\": {}, \"iters\": {}}}{}\n",
-            r.group,
-            r.bench,
-            r.median_ns,
-            r.mean_ns,
-            r.samples,
-            r.iters,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Criterion-compatible group declaration.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name(c: &mut $crate::microbench::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Criterion-compatible main declaration.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::microbench::Criterion::new();
-            $($group(&mut c);)+
-            c.finalize();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,13 +147,10 @@ mod tests {
             let mut g = c.benchmark_group("test");
             g.sample_size(5);
             g.bench_function("noop", |b| b.iter(|| 1 + 1));
-            g.bench_with_input(BenchmarkId::new("sum", 100), &100u64, |b, &n| b.iter(|| (0..n).sum::<u64>()));
-            g.finish();
+            g.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
         }
         assert_eq!(c.records().len(), 2);
         assert!(c.records()[0].median_ns >= 0.0);
-        assert_eq!(c.records()[1].bench, "sum/100");
-        let json = records_to_json(c.records());
-        assert!(json.contains("\"bench\": \"sum/100\""));
+        assert_eq!(c.records()[1].bench, "sum");
     }
 }

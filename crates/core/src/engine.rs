@@ -364,14 +364,15 @@ impl DiagnosisEngine {
             store: outcome.testbed.store.content_fingerprint(),
         };
         let (mut cache, _prior_evidence, generation, warm) = self.checkout(fingerprint);
-        let (mut report, state) =
-            pipeline::run_standard_recorded(pipeline.workflow(), &ctx, &mut cache, inputs, &emitter);
+        let (mut report, mut state) = pipeline.drive(&ctx, &mut cache, &emitter);
         report.provenance.engine = Some(EngineProvenance { fingerprint, warm });
         if report.provenance.cancelled_at.is_some() {
-            // Partial ledger: keep the warmed fits, record no evidence.
+            // Partial ledger: keep the warmed fits, record no evidence (a partial
+            // ledger must never seed incremental replay).
             self.checkin(fingerprint, cache, None, generation);
             return report;
         }
+        state.inputs = Some(inputs);
         emitter.run_completed(&report, &state);
         self.checkin(fingerprint, cache, Some(Evidence { state, report: report.clone() }), generation);
         report

@@ -68,5 +68,5 @@ pub use planner::{
 pub use runs::{LabeledRun, RunHistory};
 pub use session::WorkflowSession;
 pub use symptoms::{Condition, RootCauseEntry, ScoredCause, Symptom, SymptomKind, SymptomsDatabase};
-pub use testbed::{RecordingMode, ScenarioOutcome, Testbed};
+pub use testbed::{ScenarioOutcome, Testbed};
 pub use workflow::{DiagnosisCache, DiagnosisContext, DiagnosisWorkflow, WorkflowConfig};

@@ -13,7 +13,8 @@
 //! * [`DiagnosisPipeline`] is the builder and driver. [`DiagnosisPipeline::standard`]
 //!   reproduces the paper's sequence bit-identically; [`DiagnosisPipeline::skip`],
 //!   [`DiagnosisPipeline::insert_after`] and custom stages open new scenario shapes
-//!   (SAN-only triage that skips PD/CR, a re-scoring stage, …). Every run emits a
+//!   (SAN-only triage that skips PD/CR, a re-scoring stage, …). Every run ends in
+//!   [`DiagnosisState::assemble`], the one report assembly: a
 //!   [`crate::diagnosis::DiagnosisReport`] carrying per-stage provenance (timings,
 //!   cache hit/miss deltas, engine warm/cold, re-drill markers) next to the findings.
 //!
@@ -34,17 +35,7 @@
 //!
 //! Every driver — batch, engine-backed warm/cold, incremental replay and the
 //! interactive session — emits the same per-stage sequence, so a subscriber cannot
-//! tell (except through provenance) which execution path served it. The PR 4
-//! closure observer survives as a thin adapter: [`DiagnosisPipeline::on_stage_complete`]
-//! wraps the closure in a sink that fires on [`PipelineEvent::StageCompleted`], so
-//! existing call sites compile and behave unchanged. Migration map:
-//!
-//! | old (closure observers) | new (typed event bus) |
-//! |---|---|
-//! | `on_stage_complete(\|p, s\| ..)` | unchanged — now an adapter over a sink |
-//! | (no equivalent) | `with_sink(sink)` for the full [`PipelineEvent`] vocabulary |
-//! | (no equivalent) | `with_cancel_token(token)` + `token.cancel()` between stages |
-//! | (no equivalent) | `DiagnosisEngine::diagnose_streamed` / `diagnose_incremental_streamed` |
+//! tell (except through provenance) which execution path served it.
 //!
 //! Cancellation is checked **between stages**: a cancelled run stops before the next
 //! stage executes, emits [`PipelineEvent::Cancelled`], and still returns a
@@ -61,8 +52,8 @@
 //! history), so a concurrent SAN-side cause surfaces next to the plan change
 //! instead of being masked by it (the paper's "my-problem-or-yours" syndrome).
 //!
-//! Every driver in the crate — batch ([`crate::workflow::DiagnosisWorkflow::run`]),
-//! fleet ([`crate::engine::DiagnosisEngine::diagnose`]) and interactive
+//! Every driver in the crate — batch ([`DiagnosisPipeline::run`]), fleet
+//! ([`crate::engine::DiagnosisEngine::diagnose`]) and interactive
 //! ([`crate::session::WorkflowSession`]) — executes through this pipeline; there is
 //! no second sequencing of the modules anywhere.
 
@@ -70,7 +61,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::diagnosis::{DiagnosisProvenance, DiagnosisReport, EngineProvenance, StageProvenance};
+use crate::diagnosis::{
+    DiagnosisProvenance, DiagnosisReport, EngineProvenance, RankedCause, StageProvenance,
+};
 use crate::engine::DiagnosisEngine;
 use crate::workflow::{
     CorrelatedOperatorsResult, DependencyAnalysisResult, DiagnosisCache, DiagnosisContext, DiagnosisWorkflow,
@@ -315,6 +308,78 @@ impl DiagnosisState {
         // standard-slot invalidation stales it.
         self.remediation = None;
     }
+
+    /// Assembles the report from the ledger — the one assembly every driver uses:
+    /// ranked causes (with their evidence trails) from the SD/IA slots, module
+    /// summaries from the rest, and the given provenance. Missing slots read as
+    /// empty results, so partial pipelines and cancelled runs still produce
+    /// well-formed reports.
+    pub fn assemble(&self, ctx: &DiagnosisContext<'_>, provenance: DiagnosisProvenance) -> DiagnosisReport {
+        let (fallback_pd, fallback_cos, fallback_da) =
+            (missing_pd(), CorrelatedOperatorsResult::default(), DependencyAnalysisResult::default());
+        let (fallback_cr, fallback_sd, fallback_ia) =
+            (RecordCountResult::default(), SymptomsResult::default(), ImpactResult::default());
+        let pd = self.pd.as_ref().unwrap_or(&fallback_pd);
+        let cos = self.cos.as_ref().unwrap_or(&fallback_cos);
+        let da = self.da.as_ref().unwrap_or(&fallback_da);
+        let cr = self.cr.as_ref().unwrap_or(&fallback_cr);
+        let sd = self.sd.as_ref().unwrap_or(&fallback_sd);
+        let ia = self.ia.as_ref().unwrap_or(&fallback_ia);
+        let mut causes: Vec<RankedCause> = sd
+            .causes
+            .iter()
+            .map(|c| {
+                // The evidence trail: the SD-side symptom matches, then the operator
+                // set IA attributed the impact over. Both are deterministic, so they
+                // participate in report equality.
+                let mut evidence: Vec<String> = c
+                    .supporting_symptoms
+                    .iter()
+                    .map(|s| format!("{}: {} (strength {:.2})", s.kind.label(), s.detail, s.strength))
+                    .collect();
+                let impact = ia.impacts.iter().find(|i| i.cause_id == c.cause_id);
+                if let Some(impact) = impact {
+                    if !impact.affected_operators.is_empty() {
+                        evidence.push(format!(
+                            "impact computed over operators {}",
+                            impact
+                                .affected_operators
+                                .iter()
+                                .map(|o| o.to_string())
+                                .collect::<Vec<_>>()
+                                .join(", ")
+                        ));
+                    }
+                }
+                RankedCause {
+                    cause_id: c.cause_id.clone(),
+                    description: c.description.clone(),
+                    subject: c.subject.clone(),
+                    confidence_score: c.confidence_score,
+                    confidence: c.confidence,
+                    impact_pct: impact.map(|i| i.impact_pct).unwrap_or(0.0),
+                    evidence,
+                }
+            })
+            .collect();
+        causes.sort_by(|a, b| {
+            (b.confidence_score, b.impact_pct)
+                .partial_cmp(&(a.confidence_score, a.impact_pct))
+                .expect("finite scores")
+        });
+        DiagnosisReport {
+            query: ctx.apg.query.clone(),
+            satisfactory_mean_secs: ctx.history.mean_satisfactory_elapsed().unwrap_or(0.0),
+            unsatisfactory_mean_secs: ctx.history.mean_unsatisfactory_elapsed().unwrap_or(0.0),
+            plan_changed: !pd.same_plan,
+            plan_change_causes: pd.change_causes.iter().map(|c| c.description.clone()).collect(),
+            correlated_operators: cos.correlated.iter().map(|o| o.to_string()).collect(),
+            correlated_components: da.correlated_components.clone(),
+            record_count_changes: cr.changed.iter().map(|o| o.to_string()).collect(),
+            causes,
+            provenance,
+        }
+    }
 }
 
 /// What a stage's fallback is when it reads a PD slot that never ran: no plan-diff
@@ -506,20 +571,6 @@ pub trait EventSink {
     /// Delivers one event. `state` is the ledger at emission time: completed
     /// slots are filled, pending ones empty.
     fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState);
-}
-
-/// The PR 4 closure observer, adapted onto the event bus: fires only on
-/// [`PipelineEvent::StageCompleted`], with exactly the old signature.
-struct ObserverSink<F: Fn(&StageProvenance, &DiagnosisState)> {
-    observer: F,
-}
-
-impl<F: Fn(&StageProvenance, &DiagnosisState)> EventSink for ObserverSink<F> {
-    fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState) {
-        if let PipelineEvent::StageCompleted { provenance } = event {
-            (self.observer)(provenance, state);
-        }
-    }
 }
 
 /// A shared cancellation flag checked between pipeline stages: `cancel()` from any
@@ -777,19 +828,6 @@ impl DiagnosisPipeline {
         self
     }
 
-    /// Registers an observer called after every stage completes, with the stage's
-    /// provenance (name, elapsed time, cache hit/miss delta) and the ledger as it
-    /// stands — streaming progress for long diagnoses.
-    ///
-    /// This is the PR 4 closure hook, kept as a thin adapter over the typed event
-    /// bus: the closure is wrapped in an [`EventSink`] that fires on
-    /// [`PipelineEvent::StageCompleted`] and ignores the rest of the vocabulary.
-    /// New code that wants the full vocabulary registers a sink with
-    /// [`DiagnosisPipeline::with_sink`] instead.
-    pub fn on_stage_complete(self, observer: impl Fn(&StageProvenance, &DiagnosisState) + 'static) -> Self {
-        self.with_sink(ObserverSink { observer })
-    }
-
     /// Registers an [`EventSink`] receiving every [`PipelineEvent`] of every run of
     /// this pipeline, on the diagnosing thread. Sinks do not change what a run
     /// computes — an observed standard pipeline still takes the engine's
@@ -829,33 +867,7 @@ impl DiagnosisPipeline {
     /// partial ledger with `provenance.cancelled_at` naming the stage that never
     /// ran.
     pub fn run_with_cache(&self, ctx: &DiagnosisContext<'_>, cache: &mut DiagnosisCache) -> DiagnosisReport {
-        let emitter = self.emitter();
-        let mut state = DiagnosisState::default();
-        let mut stages = Vec::with_capacity(self.stages.len());
-        for index in 0..self.stages.len() {
-            if emitter.is_cancelled() {
-                let at_stage = self.stages[index].name().to_string();
-                emitter.cancelled(&at_stage, &state);
-                return self.assemble(
-                    ctx,
-                    &state,
-                    DiagnosisProvenance {
-                        stages,
-                        engine: None,
-                        epochs_applied: 0,
-                        cancelled_at: Some(at_stage),
-                    },
-                );
-            }
-            stages.push(self.run_stage_at(index, ctx, cache, &mut state));
-        }
-        let report = self.assemble(
-            ctx,
-            &state,
-            DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at: None },
-        );
-        emitter.run_completed(&report, &state);
-        report
+        self.run_tagged(ctx, cache, None)
     }
 
     /// Runs the pipeline through a fleet-level [`DiagnosisEngine`]: the KDE-fit slot
@@ -868,15 +880,59 @@ impl DiagnosisPipeline {
         fingerprint: u64,
     ) -> DiagnosisReport {
         engine.with_slot_tracked(fingerprint, |cache, warm| {
-            let mut report = self.run_with_cache(ctx, cache);
-            report.provenance.engine = Some(EngineProvenance { fingerprint, warm });
-            report
+            self.run_tagged(ctx, cache, Some(EngineProvenance { fingerprint, warm }))
         })
+    }
+
+    /// One full run through [`DiagnosisPipeline::drive`] with the given engine
+    /// provenance, closed by `RunCompleted` unless the run was cancelled.
+    fn run_tagged(
+        &self,
+        ctx: &DiagnosisContext<'_>,
+        cache: &mut DiagnosisCache,
+        engine: Option<EngineProvenance>,
+    ) -> DiagnosisReport {
+        let emitter = self.emitter();
+        let (mut report, state) = self.drive(ctx, cache, &emitter);
+        report.provenance.engine = engine;
+        if report.provenance.cancelled_at.is_none() {
+            emitter.run_completed(&report, &state);
+        }
+        report
+    }
+
+    /// The stage loop every full run goes through: executes the stages in order
+    /// against a fresh ledger, emitting the per-stage events through `emitter` and
+    /// checking its cancel token before each stage, then assembles the report and
+    /// hands the ledger back next to it. The caller emits the terminal
+    /// `RunCompleted` (after patching engine provenance into the report, and
+    /// stamping [`LedgerInputs`] when it records evidence).
+    pub(crate) fn drive(
+        &self,
+        ctx: &DiagnosisContext<'_>,
+        cache: &mut DiagnosisCache,
+        emitter: &Emitter<'_>,
+    ) -> (DiagnosisReport, DiagnosisState) {
+        let mut state = DiagnosisState::default();
+        let mut stages = Vec::with_capacity(self.stages.len());
+        let mut cancelled_at = None;
+        for stage in &self.stages {
+            if emitter.is_cancelled() {
+                let name = stage.name().to_string();
+                emitter.cancelled(&name, &state);
+                cancelled_at = Some(name);
+                break;
+            }
+            stages.push(self.run_stage(stage.as_ref(), ctx, cache, &mut state, emitter));
+        }
+        let report = state
+            .assemble(ctx, DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at });
+        (report, state)
     }
 
     /// Executes one stage (by pipeline index) against an external ledger and cache,
     /// returning its provenance. This is the step primitive the interactive
-    /// [`crate::session::WorkflowSession`] drives; the batch runners loop over it.
+    /// [`crate::session::WorkflowSession`] drives.
     pub fn run_stage_at(
         &self,
         index: usize,
@@ -884,31 +940,27 @@ impl DiagnosisPipeline {
         cache: &mut DiagnosisCache,
         state: &mut DiagnosisState,
     ) -> StageProvenance {
-        let emitter = self.emitter();
-        let stage = self.stages[index].as_ref();
+        self.run_stage(self.stages[index].as_ref(), ctx, cache, state, &self.emitter())
+    }
+
+    fn run_stage(
+        &self,
+        stage: &dyn DiagnosisStage,
+        ctx: &DiagnosisContext<'_>,
+        cache: &mut DiagnosisCache,
+        state: &mut DiagnosisState,
+        emitter: &Emitter<'_>,
+    ) -> StageProvenance {
         let had_remediation = state.remediation.is_some();
         emitter.stage_started(stage.name(), state);
         let provenance = execute_stage(&self.workflow, stage, ctx, cache, state);
         emitter.stage_completed(&provenance, state, had_remediation);
         provenance
     }
-
-    /// Assembles the v2 report from a ledger: ranked causes (with their evidence
-    /// trails) from the SD/IA slots, module summaries from the rest, and the given
-    /// provenance. Missing slots read as empty results, so partial pipelines still
-    /// produce well-formed reports.
-    pub fn assemble(
-        &self,
-        ctx: &DiagnosisContext<'_>,
-        state: &DiagnosisState,
-        provenance: DiagnosisProvenance,
-    ) -> DiagnosisReport {
-        assemble_v2(&self.workflow, ctx, state, provenance)
-    }
 }
 
 /// Executes one stage against a ledger, timing it and diffing the cache counters —
-/// the primitive both the pipeline driver and the borrowed-workflow fast path use.
+/// the primitive both the pipeline driver and incremental replay use.
 fn execute_stage(
     workflow: &DiagnosisWorkflow,
     stage: &dyn DiagnosisStage,
@@ -934,99 +986,6 @@ fn execute_stage(
 /// off whatever causes SD produced, so neither re-drills.
 pub(crate) fn stage_redrills(name: &str) -> bool {
     matches!(name, "CO" | "DA" | "CR" | "SD")
-}
-
-/// Assembles the v2 report from a ledger over a borrowed workflow (see
-/// [`DiagnosisPipeline::assemble`]).
-fn assemble_v2(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    state: &DiagnosisState,
-    provenance: DiagnosisProvenance,
-) -> DiagnosisReport {
-    let fallback_pd = missing_pd();
-    let fallback_cos = CorrelatedOperatorsResult::default();
-    let fallback_da = DependencyAnalysisResult::default();
-    let fallback_cr = RecordCountResult::default();
-    let fallback_sd = SymptomsResult::default();
-    let fallback_ia = ImpactResult::default();
-    let mut report = workflow.assemble_report(
-        ctx,
-        state.pd.as_ref().unwrap_or(&fallback_pd),
-        state.cos.as_ref().unwrap_or(&fallback_cos),
-        state.da.as_ref().unwrap_or(&fallback_da),
-        state.cr.as_ref().unwrap_or(&fallback_cr),
-        state.sd.as_ref().unwrap_or(&fallback_sd),
-        state.ia.as_ref().unwrap_or(&fallback_ia),
-    );
-    report.provenance = provenance;
-    report
-}
-
-/// Runs the standard stage sequence over a *borrowed* workflow — what
-/// [`DiagnosisWorkflow::run_with_cache`] delegates to. Identical to
-/// `DiagnosisPipeline::with_workflow(workflow.clone()).run_with_cache(..)` but with
-/// no workflow clone and no stage boxing, so hot warm-path loops pay nothing for
-/// the pipeline indirection.
-pub(crate) fn run_standard_with(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-) -> DiagnosisReport {
-    let mut state = DiagnosisState::default();
-    let mut stages = Vec::with_capacity(Stage::ALL.len());
-    for stage in &Stage::ALL {
-        stages.push(execute_stage(workflow, stage, ctx, cache, &mut state));
-    }
-    assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at: None },
-    )
-}
-
-/// Like [`run_standard_with`], but stamps the ledger with the given input
-/// fingerprints and hands it back next to the report — the evidence-recording path
-/// engine-backed diagnoses use so a later `diagnose_incremental` can replay it.
-/// Emits the per-stage event sequence through `emitter` and honours its cancel
-/// token between stages; the caller emits the terminal `RunCompleted` (after
-/// patching engine provenance into the report). A cancelled run's ledger is left
-/// **unstamped** (no [`LedgerInputs`]) — a partial ledger must never seed
-/// incremental replay.
-pub(crate) fn run_standard_recorded(
-    workflow: &DiagnosisWorkflow,
-    ctx: &DiagnosisContext<'_>,
-    cache: &mut DiagnosisCache,
-    inputs: LedgerInputs,
-    emitter: &Emitter<'_>,
-) -> (DiagnosisReport, DiagnosisState) {
-    let mut state = DiagnosisState::default();
-    let mut stages = Vec::with_capacity(Stage::ALL.len());
-    let mut cancelled_at = None;
-    for stage in &Stage::ALL {
-        if emitter.is_cancelled() {
-            let name = stage.name().to_string();
-            emitter.cancelled(&name, &state);
-            cancelled_at = Some(name);
-            break;
-        }
-        let had_remediation = state.remediation.is_some();
-        emitter.stage_started(stage.name(), &state);
-        let provenance = execute_stage(workflow, stage, ctx, cache, &mut state);
-        emitter.stage_completed(&provenance, &state, had_remediation);
-        stages.push(provenance);
-    }
-    if cancelled_at.is_none() {
-        state.inputs = Some(inputs);
-    }
-    let report = assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at },
-    );
-    (report, state)
 }
 
 /// Whether `stage`'s result in `state` differs from the prior ledger's — the
@@ -1114,12 +1073,8 @@ pub(crate) fn run_incremental_standard(
     if cancelled_at.is_none() {
         state.inputs = Some(inputs);
     }
-    let report = assemble_v2(
-        workflow,
-        ctx,
-        &state,
-        DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at },
-    );
+    let report =
+        state.assemble(ctx, DiagnosisProvenance { stages, engine: None, epochs_applied: 0, cancelled_at });
     Some((report, state))
 }
 

@@ -275,9 +275,8 @@ impl<'a> WorkflowSession<'a> {
                 Some(EngineProvenance { fingerprint: *fingerprint, warm: first_warm.unwrap_or(false) })
             }
         };
-        let report = self.pipeline.assemble(
+        let report = self.state.assemble(
             &self.ctx,
-            &self.state,
             DiagnosisProvenance { stages: self.trail.clone(), engine, epochs_applied: 0, cancelled_at },
         );
         if report.provenance.cancelled_at.is_none() {

@@ -9,11 +9,11 @@
 //! historic monitoring data plus a satisfactory/unsatisfactory run history.
 //!
 //! Recording is split from simulation: runs execute (and faults apply) first, then
-//! the collected observations are recorded. Under the `parallel` feature the
-//! recording phase can go through [`MetricStore::sharded_writer`]: the database
-//! recorder and several SAN samplers — one per interval-aligned time chunk — write
-//! concurrently, and per-series noise streams make the result bit-identical to the
-//! sequential reference path (see [`RecordingMode`]).
+//! the collected observations are recorded through [`MetricStore::sharded_writer`]:
+//! the database recorder and one SAN sampler per available core — each covering an
+//! interval-aligned chunk of the timeline — write concurrently. Per-series noise
+//! streams make the result bit-identical to one sequential collector over the whole
+//! range, whatever the core count (pinned by this module's tests).
 
 use std::sync::Arc;
 
@@ -161,23 +161,19 @@ impl Testbed {
     }
 
     /// Runs a complete fault-injection scenario and returns the final testbed state,
-    /// the labelled run history and the scenario itself. Recording uses
-    /// [`RecordingMode::auto`]: in-scenario sharded recording on multi-core hosts
-    /// with the `parallel` feature, the sequential collector otherwise — the stored
-    /// data is bit-identical either way.
+    /// the labelled run history and the scenario itself. The SAN view is recorded by
+    /// one sampler per available core.
     pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
-        Self::run_scenario_with_recording(scenario, RecordingMode::auto())
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Self::run_scenario_chunked(scenario, cores)
     }
 
-    /// Runs a scenario with an explicit [`RecordingMode`] (the equivalence tests and
-    /// benchmarks pin sequential against sharded recording through this).
-    pub fn run_scenario_with_recording(scenario: &Scenario, recording: RecordingMode) -> ScenarioOutcome {
+    /// [`Testbed::run_scenario`] with the SAN recording split across up to
+    /// `san_workers` samplers (the tests pin every worker count against the
+    /// sequential reference collector through this).
+    fn run_scenario_chunked(scenario: &Scenario, san_workers: usize) -> ScenarioOutcome {
         let mut testbed = Testbed::paper_default(scenario.scale_factor);
         let injector = Injector::new();
-        let mut seed = 0u64;
-        for b in scenario.id.bytes() {
-            seed = seed.wrapping_mul(31).wrapping_add(b as u64);
-        }
 
         let schedule: Vec<Timestamp> = (0..scenario.timeline.total_runs())
             .map(|i| scenario.timeline.first_run.plus(scenario.timeline.run_interval.scale(i as f64)))
@@ -189,7 +185,7 @@ impl Testbed {
 
         // Phase 1 — simulate: execute the scheduled runs with faults applied in
         // order. Nothing is recorded yet (execution never reads the metric store),
-        // so the recording phase is free to choose its concurrency.
+        // so the recording phase is free to run concurrently.
         let mut records = Vec::new();
         let mut query_loads: Vec<VolumeLoad> = Vec::new();
         for &run_start in &schedule {
@@ -231,8 +227,7 @@ impl Testbed {
 
         // Phase 2 — record: the database runs' observations plus the SAN's view of
         // the whole period (including the query's own I/O).
-        let range = TimeRange::new(Timestamp::ZERO, scenario.timeline.end_time());
-        record_outcome(&mut testbed, scenario, &records, &query_loads, seed, range, recording);
+        record_outcome(&mut testbed, scenario, &records, &query_loads, san_workers);
 
         // Label runs by the scenario's timeline: everything before the fault is
         // satisfactory (the administrator's time-window marking).
@@ -243,8 +238,7 @@ impl Testbed {
     }
 
     /// Runs a batch of scenarios sequentially, in input order, sharing one
-    /// fleet-level [`DiagnosisEngine`] across the batch — the reference loop the
-    /// concurrent engine is checked against.
+    /// fleet-level [`DiagnosisEngine`] across the batch.
     pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
         Self::run_scenarios_with_engine(scenarios, &DiagnosisEngine::shared())
     }
@@ -265,154 +259,76 @@ impl Testbed {
             })
             .collect()
     }
-
-    /// Runs a batch of scenarios concurrently on a scoped thread pool and returns
-    /// their outcomes **in input order**, sharing one fleet-level engine.
-    ///
-    /// Each scenario simulates an independent testbed (its own SAN, catalog, sampler
-    /// seed and sharded metric store), so every outcome — and every report diagnosed
-    /// from it — is bit-identical to what the sequential [`Testbed::run_scenarios`]
-    /// loop produces; only the wall-clock changes. Uses one worker per available
-    /// core, capped at the batch size.
-    #[cfg(feature = "parallel")]
-    pub fn run_scenarios_concurrent(scenarios: &[Scenario]) -> Vec<ScenarioOutcome> {
-        Self::run_scenarios_concurrent_with_engine(scenarios, &DiagnosisEngine::shared())
-    }
-
-    /// [`Testbed::run_scenarios_concurrent`] with a caller-supplied fleet engine.
-    #[cfg(feature = "parallel")]
-    pub fn run_scenarios_concurrent_with_engine(
-        scenarios: &[Scenario],
-        engine: &Arc<DiagnosisEngine>,
-    ) -> Vec<ScenarioOutcome> {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let threads = cores.min(scenarios.len());
-        if threads <= 1 {
-            return Self::run_scenarios_with_engine(scenarios, engine);
-        }
-        // The scenario workers already occupy one core each; nesting sharded
-        // in-scenario recording under a core-saturating batch would oversubscribe
-        // ~cores² threads for no wall-clock gain. Keep it only when cores outnumber
-        // the batch (the recorded data is bit-identical either way).
-        let recording = if threads >= cores { RecordingMode::Sequential } else { RecordingMode::auto() };
-        let chunk_len = scenarios.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = scenarios
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|scenario| {
-                                let mut outcome = Testbed::run_scenario_with_recording(scenario, recording);
-                                outcome.testbed.engine = Arc::clone(engine);
-                                outcome
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // Chunks are contiguous and joined in spawn order, so concatenation
-            // restores the input order deterministically.
-            handles.into_iter().flat_map(|h| h.join().expect("scenario worker panicked")).collect()
-        })
-    }
 }
 
-/// How [`Testbed::run_scenario_with_recording`] records a scenario's monitoring data.
+/// The sampler interval scenario recording averages observations over.
+const RECORDING_INTERVAL: Duration = Duration::from_mins(5);
+
+/// The collector-noise seed of a scenario, derived from its id.
+fn scenario_seed(scenario: &Scenario) -> u64 {
+    scenario.id.bytes().fold(0u64, |seed, b| seed.wrapping_mul(31).wrapping_add(b as u64))
+}
+
+/// The time range a scenario's SAN monitoring covers: the whole timeline.
+fn recording_range(scenario: &Scenario) -> TimeRange {
+    TimeRange::new(Timestamp::ZERO, scenario.timeline.end_time())
+}
+
+/// Records a finished simulation's observations into the testbed's store through
+/// [`MetricStore::sharded_writer`]: one worker replays the run records while up to
+/// `san_workers` SAN samplers each cover an interval-aligned chunk of the timeline.
 ///
-/// Both modes produce **bit-identical stores**: interval averages are pure functions
-/// of the observations, and the per-series noise streams (seeded by series identity
-/// and interval start) are independent of recording order, chunking and thread
-/// count. The mode is purely a wall-clock choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordingMode {
-    /// One collector records everything in time order — the reference path.
-    Sequential,
-    /// Database and SAN observations are recorded concurrently through
-    /// [`MetricStore::sharded_writer`]: one worker replays the run records while
-    /// several SAN samplers each cover an interval-aligned chunk of the timeline.
-    #[cfg(feature = "parallel")]
-    Sharded,
-}
-
-impl RecordingMode {
-    /// Sharded when the `parallel` feature is on and the host has more than one
-    /// core; sequential otherwise (a single core would only pay locking overhead).
-    pub fn auto() -> Self {
-        #[cfg(feature = "parallel")]
-        if std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) > 1 {
-            return RecordingMode::Sharded;
-        }
-        RecordingMode::Sequential
-    }
-}
-
-/// Records a finished simulation's observations into the testbed's store, honouring
-/// the recording mode.
+/// The store is **bit-identical** to one sequential collector's: interval averages
+/// are pure functions of the observations, and the per-series noise streams (seeded
+/// by series identity and interval start) are independent of recording order,
+/// chunking and thread count.
 fn record_outcome(
     testbed: &mut Testbed,
     scenario: &Scenario,
     records: &[QueryRunRecord],
     query_loads: &[VolumeLoad],
-    seed: u64,
-    range: TimeRange,
-    recording: RecordingMode,
+    san_workers: usize,
 ) {
-    let interval = Duration::from_mins(5);
-    #[cfg(feature = "parallel")]
-    if recording == RecordingMode::Sharded {
-        let step = testbed.san.config().metric_step_secs.max(1);
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
-        let chunks = recording_chunks(range, interval.as_secs(), step, workers);
-        let san = &testbed.san;
-        let writer = testbed.store.sharded_writer();
-        std::thread::scope(|scope| {
-            let writer = &writer;
-            // Every worker records through its own batched front-end: points
-            // buffer thread-locally and each shard is locked once per flush
-            // instead of once per point. The merged store stays bit-identical —
-            // batching preserves each key's stream order, which is all the
-            // sharded-equivalence argument needs.
-            //
-            // The database recorder replays every run in order (per-series point
-            // order is preserved by the single writer thread)...
-            scope.spawn(move || {
-                let mut sink = writer.batched();
-                for record in records {
-                    record.record_metrics(&mut sink, DB_INSTANCE, DB_SERVER);
-                }
-            });
-            // ...while each SAN worker samples its own interval-aligned chunk of
-            // the timeline with a private collector. Per-series noise streams make
-            // the union identical to one sequential sampler over the full range.
-            for chunk in chunks {
-                let noise = scenario.noise.clone();
-                scope.spawn(move || {
-                    let mut sampler = IntervalSampler::new(interval, noise, seed);
-                    let mut sink = writer.batched();
-                    san.record_metrics(chunk, query_loads, &mut sampler, &mut sink);
-                    sampler.flush(&mut sink);
-                });
+    let seed = scenario_seed(scenario);
+    let step = testbed.san.config().metric_step_secs.max(1);
+    let chunks = recording_chunks(recording_range(scenario), RECORDING_INTERVAL.as_secs(), step, san_workers);
+    let san = &testbed.san;
+    let writer = testbed.store.sharded_writer();
+    std::thread::scope(|scope| {
+        let writer = &writer;
+        // Every worker records through its own batched front-end: points
+        // buffer thread-locally and each shard is locked once per flush
+        // instead of once per point. The merged store stays bit-identical —
+        // batching preserves each key's stream order, which is all the
+        // sharded-equivalence argument needs.
+        //
+        // The database recorder replays every run in order (per-series point
+        // order is preserved by the single writer thread)...
+        scope.spawn(move || {
+            let mut sink = writer.batched();
+            for record in records {
+                record.record_metrics(&mut sink, DB_INSTANCE, DB_SERVER);
             }
         });
-        return;
-    }
-    #[cfg(not(feature = "parallel"))]
-    let RecordingMode::Sequential = recording;
-    for record in records {
-        record.record_metrics(&mut testbed.store, DB_INSTANCE, DB_SERVER);
-    }
-    let mut sampler = IntervalSampler::new(interval, scenario.noise.clone(), seed);
-    testbed.san.record_metrics(range, query_loads, &mut sampler, &mut testbed.store);
-    sampler.flush(&mut testbed.store);
+        // ...while each SAN worker samples its own interval-aligned chunk of
+        // the timeline with a private collector. Per-series noise streams make
+        // the union identical to one sequential sampler over the full range.
+        for chunk in chunks {
+            let noise = scenario.noise.clone();
+            scope.spawn(move || {
+                let mut sampler = IntervalSampler::new(RECORDING_INTERVAL, noise, seed);
+                let mut sink = writer.batched();
+                san.record_metrics(chunk, query_loads, &mut sampler, &mut sink);
+                sampler.flush(&mut sink);
+            });
+        }
+    });
 }
 
 /// Splits a recording range into up to `workers` chunks whose boundaries are
 /// aligned to both the sampler interval and the SAN metric step, so no sampling
 /// interval (and no emission instant) straddles two workers. Returns the whole
 /// range as one chunk when it cannot be split safely.
-#[cfg(feature = "parallel")]
 fn recording_chunks(range: TimeRange, interval_secs: u64, step_secs: u64, workers: usize) -> Vec<TimeRange> {
     fn gcd(a: u64, b: u64) -> u64 {
         if b == 0 {
@@ -548,6 +464,90 @@ impl ScenarioOutcome {
 mod tests {
     use super::*;
     use diads_inject::scenarios::{scenario_1, ScenarioTimeline};
+
+    /// The sequential reference collector: the outcome's run records and the SAN's
+    /// view of the whole range, recorded in time order by one collector into a
+    /// fresh store. Rebuilt from the outcome itself (its history holds every
+    /// recorded run, in order; its testbed holds the final SAN state the recording
+    /// phase read).
+    fn sequential_store(outcome: &ScenarioOutcome) -> MetricStore {
+        let scenario = &outcome.scenario;
+        let mut store = MetricStore::new();
+        let records: Vec<&QueryRunRecord> = outcome.history.runs.iter().map(|r| &r.record).collect();
+        for record in &records {
+            record.record_metrics(&mut store, DB_INSTANCE, DB_SERVER);
+        }
+        let query_loads: Vec<VolumeLoad> = records.iter().flat_map(|r| r.volume_loads.clone()).collect();
+        let mut sampler =
+            IntervalSampler::new(RECORDING_INTERVAL, scenario.noise.clone(), scenario_seed(scenario));
+        outcome.testbed.san.record_metrics(recording_range(scenario), &query_loads, &mut sampler, &mut store);
+        sampler.flush(&mut store);
+        store
+    }
+
+    fn assert_stores_bit_identical(a: &MetricStore, b: &MetricStore, what: &str) {
+        assert_eq!(a.series_count(), b.series_count(), "{what}: series count");
+        assert_eq!(a.point_count(), b.point_count(), "{what}: point count");
+        for (key, series) in a.iter() {
+            let label = a.display_key(key);
+            let other = b.series_by_key(key).unwrap_or_else(|| panic!("{what}: {label} missing"));
+            assert_eq!(series.len(), other.len(), "{what}: {label} length");
+            for (x, y) in series.points().iter().zip(other.points()) {
+                assert_eq!(x.time, y.time, "{what}: {label} timestamps");
+                assert_eq!(
+                    x.value.to_bits(),
+                    y.value.to_bits(),
+                    "{what}: {label} values must be bit-identical"
+                );
+            }
+        }
+    }
+
+    /// Sharded recording is the only production path, so it is pinned against the
+    /// sequential reference in every build: at the one-core shape (one SAN
+    /// sampler), the two-core shape and one more split, the store must be
+    /// bit-identical and the diagnosis report equal. The sharded outcomes share
+    /// one engine, whose slot key mixes in the store's content fingerprint: a
+    /// drifted store lands in a slot of its own and is diagnosed cold.
+    fn check_recording_matches_sequential(scenario: &Scenario) {
+        let engine = DiagnosisEngine::shared();
+        let mut reference = Testbed::run_scenario_chunked(scenario, 1);
+        reference.testbed.engine = Arc::clone(&engine);
+        let one_sampler_report = reference.diagnose();
+        let sequential = sequential_store(&reference);
+        let one_sampler_store = std::mem::replace(&mut reference.testbed.store, sequential);
+        reference.testbed.engine = DiagnosisEngine::shared();
+        let expected = reference.diagnose();
+        let check = |san_workers: usize, store: &MetricStore, report: DiagnosisReport| {
+            let what = format!("{} with {san_workers} SAN sampler(s)", scenario.id);
+            assert_stores_bit_identical(&reference.testbed.store, store, &what);
+            assert_eq!(report, expected, "{what}: report drifted from the sequential reference");
+        };
+        check(1, &one_sampler_store, one_sampler_report);
+        for san_workers in [2, 3] {
+            let mut sharded = Testbed::run_scenario_chunked(scenario, san_workers);
+            sharded.testbed.engine = Arc::clone(&engine);
+            assert_eq!(sharded.fault_log, reference.fault_log, "{}: fault log", scenario.id);
+            check(san_workers, &sharded.testbed.store, sharded.diagnose());
+        }
+    }
+
+    /// Every scenario of the matrix, split over two test threads.
+    fn check_recording_stripe(offset: usize) {
+        for scenario in diads_inject::scenarios::all_scenarios().iter().skip(offset).step_by(2) {
+            check_recording_matches_sequential(scenario);
+        }
+    }
+
+    #[test]
+    fn sharded_in_scenario_recording_matches_sequential() {
+        check_recording_stripe(0);
+    }
+
+    #[test]
+    fn sharded_in_scenario_recording_matches_sequential_odd_scenarios() {
+        check_recording_stripe(1);
+    }
 
     #[test]
     fn paper_testbed_assembles() {

@@ -67,7 +67,7 @@ impl Duration {
     }
 
     /// Creates a duration of the given number of minutes.
-    pub fn from_mins(mins: u64) -> Self {
+    pub const fn from_mins(mins: u64) -> Self {
         Duration(mins * 60)
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The workflow scores the *same* satisfactory history many times across
 //! re-executions: the interactive mode re-runs modules at will, benchmarks and
-//! repeated diagnoses revisit one context, and parallel DA workers hand their fits
-//! back for later passes. Re-fitting on each of those is pure waste — the
+//! repeated diagnoses revisit one context, and the fleet engine keeps fits warm
+//! across diagnoses. Re-fitting on each of those is pure waste — the
 //! satisfactory sample for a given variable never changes while the context lives.
 //! [`ScoringCache`] fits each variable once and hands out the shared estimate.
 
@@ -83,8 +83,9 @@ impl<K> ScoringCache<K> {
 }
 
 impl<K: Eq + Hash> ScoringCache<K> {
-    /// Absorbs another cache's entries (existing entries win). Used to merge the
-    /// thread-local caches of a parallel scoring pass back into the shared cache.
+    /// Absorbs another cache's entries (existing entries win). The fleet engine
+    /// uses it to merge a checked-out slot cache back into a resident one when two
+    /// diagnoses of the same slot check in concurrently.
     ///
     /// A disabled receiver absorbs only the counters — its "never caches" contract
     /// holds even when fed from enabled worker caches.

@@ -3,7 +3,7 @@
 //!
 //! For every `all_scenarios()` scenario and every one of the six stage
 //! boundaries, a [`diads::core::CancelToken`] is tripped after exactly `k`
-//! completed stages (via the `on_stage_complete` adapter, i.e. from inside the
+//! completed stages (by a sink reacting to `StageCompleted`, i.e. from inside the
 //! event stream itself). The assertions pin:
 //!
 //! * provenance `cancelled_at` names the first stage that never ran;
@@ -23,8 +23,8 @@ use std::rc::Rc;
 
 use diads::core::workflow::DiagnosisWorkflow;
 use diads::core::{
-    CancelToken, DiagnosisContext, DiagnosisPipeline, DiagnosisState, ScenarioOutcome, Testbed,
-    WorkflowSession,
+    CancelToken, DiagnosisContext, DiagnosisPipeline, DiagnosisState, EventSink, PipelineEvent,
+    ScenarioOutcome, Testbed, WorkflowSession,
 };
 use diads::inject::scenarios::all_scenarios;
 use diads::monitor::{ComponentId, Duration, EventStore, MetricName};
@@ -61,6 +61,24 @@ fn slot_filled(state: &DiagnosisState, i: usize) -> bool {
     }
 }
 
+/// Trips `token` once `k` stages have completed.
+struct CancelAfter {
+    token: CancelToken,
+    completed: Rc<Cell<usize>>,
+    k: usize,
+}
+
+impl EventSink for CancelAfter {
+    fn on_event(&self, event: &PipelineEvent, _state: &DiagnosisState) {
+        if let PipelineEvent::StageCompleted { .. } = event {
+            self.completed.set(self.completed.get() + 1);
+            if self.completed.get() == self.k {
+                self.token.cancel();
+            }
+        }
+    }
+}
+
 #[test]
 fn session_cancel_at_every_stage_boundary_of_every_scenario() {
     for scenario in all_scenarios() {
@@ -72,18 +90,9 @@ fn session_cancel_at_every_stage_boundary_of_every_scenario() {
         for k in 0..STAGES.len() {
             let token = CancelToken::new();
             let completed = Rc::new(Cell::new(0usize));
-            let pipeline = {
-                let token = token.clone();
-                let completed = Rc::clone(&completed);
-                DiagnosisPipeline::standard().with_cancel_token(token.clone()).on_stage_complete(
-                    move |_, _| {
-                        completed.set(completed.get() + 1);
-                        if completed.get() == k {
-                            token.cancel();
-                        }
-                    },
-                )
-            };
+            let pipeline = DiagnosisPipeline::standard()
+                .with_cancel_token(token.clone())
+                .with_sink(CancelAfter { token: token.clone(), completed: Rc::clone(&completed), k });
             let ctx = context(&outcome, &apg, &events);
             let mut session = WorkflowSession::with_pipeline(pipeline, ctx);
             if k == 0 {

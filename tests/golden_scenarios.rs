@@ -6,9 +6,9 @@
 //! scenarios (index drop, configuration change), the two SAN-degradation
 //! scenarios (RAID rebuild, disk failure) and the four compound DB+SAN scenarios.
 //! Any sharding / caching / parallelism work in the hot path has to be
-//! behavior-preserving, and this is the tripwire that proves it. The same pins run
-//! under `--features parallel`, and the concurrent scenario engine is asserted
-//! bit-identical to the sequential loop.
+//! behavior-preserving, and this is the tripwire that proves it. Every scenario
+//! here is recorded through the sharded in-scenario recorder, which the core
+//! crate's unit tests pin bit-identical to the sequential collector.
 //!
 //! **Recapture note (per-series noise streams).** The goldens were originally
 //! captured with a single ordered noise generator whose draws depended on the
@@ -16,11 +16,11 @@
 //! recording, so the sampler was re-keyed to deterministic per-series streams
 //! (`seed = mix(mix(scenario seed, series identity hash), interval start)`): recorded
 //! values now depend only on (series, sample index) and the sharded in-scenario
-//! recording path is bit-identical to the sequential collector (pinned below by
-//! `sharded_in_scenario_recording_matches_sequential`). The switch changed the exact
-//! noise drawn per sample, so every pin was recaptured once against the new streams —
-//! all eight (top cause, confidence) pairs came back unchanged, because the Table-1
-//! fault signatures dominate the collector jitter.
+//! recording path is bit-identical to the sequential collector (pinned by the core
+//! crate's `sharded_in_scenario_recording_matches_sequential`). The switch changed
+//! the exact noise drawn per sample, so every pin was recaptured once against the
+//! new streams — all eight (top cause, confidence) pairs came back unchanged,
+//! because the Table-1 fault signatures dominate the collector jitter.
 //!
 //! **Recapture note (post-PD re-drill).** Plan-change diagnoses used to gate
 //! CO/DA/CR off entirely, so the four plan-change scenarios (index drop, config
@@ -250,46 +250,6 @@ fn golden_compound_dml_contention_top_cause_and_confidence() {
     });
 }
 
-/// In-scenario sharded recording (database recorder + chunked SAN samplers writing
-/// concurrently through the lock-per-shard writer) must produce a store
-/// bit-identical to the sequential collector, and therefore identical reports. This
-/// is forced explicitly so it is exercised even on single-core hosts where
-/// `RecordingMode::auto()` would pick the sequential path.
-#[cfg(feature = "parallel")]
-#[test]
-fn sharded_in_scenario_recording_matches_sequential() {
-    use diads::core::RecordingMode;
-    for scenario in diads::inject::scenarios::all_scenarios() {
-        let sequential = Testbed::run_scenario_with_recording(&scenario, RecordingMode::Sequential);
-        let sharded = Testbed::run_scenario_with_recording(&scenario, RecordingMode::Sharded);
-        let (a, b) = (&sequential.testbed.store, &sharded.testbed.store);
-        assert_eq!(a.series_count(), b.series_count(), "{}: series count", scenario.id);
-        assert_eq!(a.point_count(), b.point_count(), "{}: point count", scenario.id);
-        for (key, series) in a.iter() {
-            let other = b.series_by_key(key).unwrap_or_else(|| {
-                panic!("{}: {} missing from sharded store", scenario.id, a.display_key(key))
-            });
-            assert_eq!(series.len(), other.len(), "{}: {} length", scenario.id, a.display_key(key));
-            for (x, y) in series.points().iter().zip(other.points()) {
-                assert_eq!(x.time, y.time, "{}: {} timestamps", scenario.id, a.display_key(key));
-                assert_eq!(
-                    x.value.to_bits(),
-                    y.value.to_bits(),
-                    "{}: {} values must be bit-identical",
-                    scenario.id,
-                    a.display_key(key)
-                );
-            }
-        }
-        assert_eq!(
-            sequential.diagnose(),
-            sharded.diagnose(),
-            "{}: report drifted between recording modes",
-            scenario.id
-        );
-    }
-}
-
 /// A fleet-level engine shared across testbeds built from **independent stores**
 /// must hit the warm path on the second diagnosis of the same (fingerprint,
 /// variable) — the acceptance pin for identity-based `ScoreKey::Metric`: with
@@ -318,37 +278,4 @@ fn fleet_engine_warms_across_independent_testbeds() {
     let stats = engine.stats();
     assert_eq!(stats.warm_checkouts, 1, "second testbed must check out the warm slot");
     assert_eq!(cold, warm, "fleet-warmed diagnosis must be identical to cold");
-}
-
-/// The concurrent scenario engine must be a pure wall-clock optimisation: over the
-/// whole Table-1 matrix, outcomes and diagnosis reports are bit-identical to the
-/// sequential reference loop, in input order.
-#[cfg(feature = "parallel")]
-#[test]
-fn concurrent_engine_matches_sequential_loop_over_all_scenarios() {
-    let scenarios = diads::inject::scenarios::all_scenarios();
-    let sequential = Testbed::run_scenarios(&scenarios);
-    let concurrent = Testbed::run_scenarios_concurrent(&scenarios);
-    assert_eq!(sequential.len(), concurrent.len());
-    for ((scenario, seq), conc) in scenarios.iter().zip(&sequential).zip(&concurrent) {
-        assert_eq!(seq.scenario.id, scenario.id, "sequential outcomes out of order");
-        assert_eq!(conc.scenario.id, scenario.id, "concurrent outcomes out of order");
-        assert_eq!(seq.fault_log, conc.fault_log, "{}: fault log drifted", scenario.id);
-        assert_eq!(
-            seq.testbed.store.point_count(),
-            conc.testbed.store.point_count(),
-            "{}: recorded point count drifted",
-            scenario.id
-        );
-        let seq_report = seq.diagnose();
-        let conc_report = conc.diagnose();
-        assert_eq!(
-            seq_report,
-            conc_report,
-            "{}: concurrent report drifted from sequential\n--- sequential ---\n{}\n--- concurrent ---\n{}",
-            scenario.id,
-            seq_report.render(),
-            conc_report.render()
-        );
-    }
 }

@@ -21,9 +21,9 @@
 //!    watermark's history fingerprint no longer matches, so the incremental path
 //!    must silently fall back to a full cold diagnosis and agree with it.
 //!
-//! The suite is feature-agnostic; CI runs it under the default build and under
-//! `--features parallel` (the engine's slot map and the scenario recorder are the
-//! only parallel-sensitive parts, and both are pinned bit-identical elsewhere).
+//! The engine's slot map and the sharded scenario recorder are the only
+//! thread-sensitive parts under this suite, and both are pinned bit-identical
+//! elsewhere.
 
 use diads::core::{DiagnosisEngine, ScenarioOutcome, Testbed};
 use diads::inject::scenarios::{all_scenarios, Scenario};

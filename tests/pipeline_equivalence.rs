@@ -6,15 +6,16 @@
 //! change) → CR → SD → IA — rather than against a retired twin implementation.
 //! The composability half exercises the builder: skipped stages fall back to
 //! well-formed empty inputs, custom stages rewrite the evidence ledger, and
-//! observers stream per-stage progress.
+//! event sinks stream per-stage progress.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use diads::core::workflow::CorrelatedOperatorsResult;
 use diads::core::{
-    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisWorkflow,
-    ScenarioOutcome, Stage, StageCtx, Testbed, WorkflowSession,
+    DiagnosisCache, DiagnosisContext, DiagnosisPipeline, DiagnosisReport, DiagnosisStage, DiagnosisState,
+    DiagnosisWorkflow, EventSink, PipelineEvent, ScenarioOutcome, Stage, StageCtx, StageProvenance, Testbed,
+    WorkflowSession,
 };
 use diads::inject::scenarios::{all_scenarios, scenario_1, ScenarioTimeline};
 use diads::monitor::EventStore;
@@ -53,7 +54,27 @@ fn legacy_module_by_module(ctx: &DiagnosisContext<'_>) -> DiagnosisReport {
     let cr = workflow.record_counts(ctx, &cos, &mut cache);
     let sd = workflow.symptoms(ctx, &pd, &cos, &da, &cr);
     let ia = workflow.impact_analysis(ctx, &cos, &da, &cr, &sd);
-    workflow.assemble_report(ctx, &pd, &cos, &da, &cr, &sd, &ia)
+    let state = DiagnosisState {
+        pd: Some(pd),
+        cos: Some(cos),
+        da: Some(da),
+        cr: Some(cr),
+        sd: Some(sd),
+        ia: Some(ia),
+        ..DiagnosisState::default()
+    };
+    state.assemble(ctx, Default::default())
+}
+
+/// Calls the closure on every `StageCompleted` event, with the ledger as it stands.
+struct OnStageCompleted<F>(F);
+
+impl<F: Fn(&StageProvenance, &DiagnosisState)> EventSink for OnStageCompleted<F> {
+    fn on_event(&self, event: &PipelineEvent, state: &DiagnosisState) {
+        if let PipelineEvent::StageCompleted { provenance } = event {
+            (self.0)(provenance, state);
+        }
+    }
 }
 
 /// `DiagnosisPipeline::standard()` must reproduce the module-by-module
@@ -162,10 +183,10 @@ fn custom_stage_edits_flow_into_downstream_stages() {
     assert_eq!(report.provenance.stages.len(), 7);
 }
 
-/// Observers stream per-stage progress: every stage reports in order, with the
+/// Sinks stream per-stage progress: every stage reports in order, with the
 /// ledger reflecting everything completed so far.
 #[test]
-fn on_stage_complete_observers_stream_progress() {
+fn stage_completed_sinks_stream_progress() {
     let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
     let apg = outcome.apg();
     let events = outcome.testbed.all_events();
@@ -175,9 +196,9 @@ fn on_stage_complete_observers_stream_progress() {
     let seen: Arc<Mutex<Progress>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     let report = DiagnosisPipeline::standard()
-        .on_stage_complete(move |provenance, state| {
+        .with_sink(OnStageCompleted(move |provenance: &StageProvenance, state: &DiagnosisState| {
             sink.lock().unwrap().push((provenance.stage.clone(), state.completed()));
-        })
+        }))
         .run(&ctx);
     let seen = seen.lock().unwrap();
     let order: Vec<&str> = seen.iter().map(|(name, _)| name.as_str()).collect();
@@ -235,11 +256,11 @@ fn planner_stage_appends_to_the_standard_pipeline_and_fills_the_ledger() {
     let sink = Arc::clone(&observed);
     let pipeline = DiagnosisPipeline::standard()
         .insert_after(Stage::ImpactAnalysis, Box::new(stage))
-        .on_stage_complete(move |provenance, state| {
+        .with_sink(OnStageCompleted(move |provenance: &StageProvenance, state: &DiagnosisState| {
             if provenance.stage == PlannerStage::NAME {
                 *sink.lock().unwrap() = state.remediation.clone();
             }
-        });
+        }));
     assert_eq!(pipeline.stage_names(), vec!["PD", "CO", "DA", "CR", "SD", "IA", "PLAN"]);
 
     let report = pipeline.run(&ctx);
@@ -296,20 +317,6 @@ fn plan_change_redrills_with_pruning_disabled() {
     );
     let co = report.provenance.stages.iter().find(|s| s.stage == "CO").expect("CO ran");
     assert!(co.redrilled, "CO is marked re-drilled on a plan change");
-}
-
-/// `DiagnosisWorkflow::run` is a thin wrapper over the standard pipeline — same
-/// report, so older call sites keep working unchanged.
-#[test]
-fn workflow_run_is_the_standard_pipeline() {
-    let outcome = Testbed::run_scenario(&scenario_1(ScenarioTimeline::short()));
-    let apg = outcome.apg();
-    let events = outcome.testbed.all_events();
-    let ctx = context(&outcome, &apg, &events);
-    let via_workflow = DiagnosisWorkflow::new().run(&ctx);
-    let via_pipeline = DiagnosisPipeline::standard().run(&ctx);
-    assert_eq!(via_workflow, via_pipeline);
-    assert_eq!(via_workflow.provenance.stages.len(), 6, "the wrapper carries the stage trail too");
 }
 
 /// Editing a result through the session invalidates downstream slots, and the
